@@ -3,8 +3,8 @@ package repro.bench
 import repro.SparkSpec
 import BenchUtil._
 
-/** Fig 9: TPC-H Q4/Q12/Q14/Q19 — Modularis vs a compiled in-memory SQL
-  * engine ("MemSQL" = Spark SQL over cached tables) and a generic
+/** Fig 9: TPC-H Q4/Q12/Q14/Q19 — Modularis vs a vectorized in-memory SQL
+  * engine ("MemSQL" = DuckDB over in-memory typed tables) and a generic
   * interpreted warehouse ("Presto" = the Volcano/CSV engine).
   * Paper shape: Modularis on par with (≤33 % slower than) MemSQL and
   * ~6–9× faster than Presto.

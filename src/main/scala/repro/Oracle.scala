@@ -1,8 +1,11 @@
 package repro
 
-import java.sql.DriverManager
+import java.io.{BufferedWriter, FileOutputStream, OutputStreamWriter}
+import java.nio.charset.StandardCharsets
+import java.nio.file.Files
+import java.sql.{Connection, DriverManager}
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.types._
 
 /** DuckDB correctness oracle.
   *
@@ -33,25 +36,58 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  private def duckType(t: DataType): String = t match {
+    case LongType    => "BIGINT"
+    case IntegerType => "INTEGER"
+    case DoubleType  => "DOUBLE"
+    case DateType    => "DATE"
+    case StringType  => "VARCHAR"
+    case other => throw new IllegalArgumentException(s"no DuckDB column type for $other")
+  }
+
+  /** One CSV field: strings are quoted (so `""` is the empty string and an
+    * unquoted empty field is NULL); numbers and dates print in a form
+    * DuckDB's typed CSV reader parses back exactly.
+    */
+  private def csvField(v: Any): String = v match {
+    case null      => ""
+    case s: String => "\"" + s.replace("\"", "\"\"") + "\""
+    case x         => x.toString
+  }
+
+  /** Open an in-memory DuckDB holding each of `tables`, with column names
+    * and types taken from the DataFrame's schema. The rows are collected to
+    * the driver and bulk-loaded through one temporary CSV file per table.
+    */
+  def duckdb(tables: (String, DataFrame)*): Connection = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
-        conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        val file = Files.createTempFile(s"duck-$name-", ".csv")
+        try {
+          val out = new BufferedWriter(new OutputStreamWriter(
+            new FileOutputStream(file.toFile), StandardCharsets.UTF_8))
+          try df.collect().foreach { r =>
+            out.write(r.toSeq.map(csvField).mkString(","))
+            out.write('\n')
+          } finally out.close()
+          val cols = df.schema.fields
+            .map(f => s"'${f.name.replace("'", "''")}': '${duckType(f.dataType)}'")
+            .mkString("{", ", ", "}")
+          conn.createStatement.execute(
+            s"CREATE TABLE $name AS SELECT * FROM read_csv('$file', columns = $cols, " +
+              "header = false, delim = ',', quote = '\"', escape = '\"', " +
+              "allow_quoted_nulls = false)")
+        } finally Files.delete(file)
       }
+      conn
+    } catch { case e: Throwable => conn.close(); throw e }
+  }
+
+  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val conn = duckdb(tables: _*)
+    try {
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData
       val dCols = (1 to meta.getColumnCount).map(meta.getColumnLabel)

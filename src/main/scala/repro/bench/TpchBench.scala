@@ -1,16 +1,15 @@
 package repro.bench
 
-import java.io.File
 import java.nio.file.Files
-import java.sql.{Connection, DriverManager}
+import java.sql.Connection
 
 import org.apache.spark.sql.SparkSession
 
+import repro.Oracle
 import repro.baselines.VolcanoCsvEngine
 import repro.data.TpchLite
 import repro.plans.PlanPieces.DistConfig
 import repro.plans.TpchPlans
-import repro.plans.TpchPlans.TpchData
 import BenchUtil._
 
 /** Fig 9 reproduction: TPC-H Q4/Q12/Q14/Q19 (paper: SF-500, 8 machines).
@@ -21,7 +20,7 @@ import BenchUtil._
   *    storage read — every rank parses its slice of the shared CSV files in
   *    parallel — as the paper includes read time against Presto.
   *  - "MemSQL"    = DuckDB over in-memory typed tables, warm runs
-  *    (DESIGN.md substitution: a compiled, vectorized in-memory SQL engine).
+  *    (DESIGN.md substitution: a vectorized in-memory SQL engine).
   *  - "Presto"    = the interpreted row-at-a-time Volcano engine re-scanning
   *    CSV storage every run (DESIGN.md substitution: generic interpreted
   *    warehouse; single-threaded — its per-node parallelism stands in for
@@ -30,70 +29,6 @@ import BenchUtil._
   *    its fixed distributed-planning overhead dominates at laptop scale.
   */
 object TpchBench {
-
-  val SparkSqls: Map[String, String] = Map(
-    "Q4" ->
-      """SELECT o_orderpriority, count(*) AS order_count
-        |FROM orders
-        |WHERE o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01'
-        |  AND EXISTS (SELECT 1 FROM lineitem
-        |              WHERE l_orderkey = o_orderkey
-        |                AND l_commitdate < l_receiptdate)
-        |GROUP BY o_orderpriority""".stripMargin,
-    "Q12" ->
-      """SELECT l_shipmode,
-        |  sum(CASE WHEN o_orderpriority IN ('1-URGENT','2-HIGH') THEN 1 ELSE 0 END) AS high_line_count,
-        |  sum(CASE WHEN o_orderpriority NOT IN ('1-URGENT','2-HIGH') THEN 1 ELSE 0 END) AS low_line_count
-        |FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-        |WHERE l_shipmode IN ('MAIL','SHIP')
-        |  AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate
-        |  AND l_receiptdate >= '1994-01-01' AND l_receiptdate < '1995-01-01'
-        |GROUP BY l_shipmode""".stripMargin,
-    "Q14" ->
-      """SELECT 100.00 * sum(CASE WHEN p_type LIKE 'PROMO%'
-        |    THEN l_extendedprice * (1 - l_discount) ELSE 0 END)
-        |  / sum(l_extendedprice * (1 - l_discount)) AS promo_revenue
-        |FROM lineitem, part
-        |WHERE l_partkey = p_partkey
-        |  AND l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'""".stripMargin,
-    "Q19" ->
-      """SELECT sum(l_extendedprice * (1 - l_discount)) AS revenue
-        |FROM lineitem, part
-        |WHERE p_partkey = l_partkey
-        |  AND l_shipmode IN ('AIR','REG AIR')
-        |  AND l_shipinstruct = 'DELIVER IN PERSON'
-        |  AND ((p_brand = 'Brand#12' AND p_container IN ('SM CASE','SM BOX','SM PACK','SM PKG')
-        |        AND l_quantity BETWEEN 1 AND 11 AND p_size BETWEEN 1 AND 5)
-        |    OR (p_brand = 'Brand#23' AND p_container IN ('MED BAG','MED BOX','MED PKG','MED PACK')
-        |        AND l_quantity BETWEEN 10 AND 20 AND p_size BETWEEN 1 AND 10)
-        |    OR (p_brand = 'Brand#34' AND p_container IN ('LG CASE','LG BOX','LG PACK','LG PKG')
-        |        AND l_quantity BETWEEN 20 AND 30 AND p_size BETWEEN 1 AND 15))""".stripMargin,
-  )
-
-  /** Load the CSV tables into an in-memory DuckDB (typed columns; dates as
-    * VARCHAR — ISO strings compare correctly, matching the oracle SQL).
-    */
-  def duckLoad(csv: VolcanoTpch.Tables): Connection = {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    def create(name: String, file: File, schema: VolcanoCsvEngine.Schema): Unit = {
-      val cols = schema.cols.map { case (n0, t0) =>
-        val ty = t0 match {
-          case "long"   => "BIGINT"
-          case "double" => "DOUBLE"
-          case _        => "VARCHAR"
-        }
-        s"'$n0': '$ty'"
-      }.mkString("{", ", ", "}")
-      conn.createStatement.execute(
-        s"CREATE TABLE $name AS SELECT * FROM read_csv('${file.getAbsolutePath}', " +
-          s"delim='|', header=false, columns=$cols)")
-    }
-    create("lineitem", csv.li._1, csv.li._2)
-    create("orders", csv.ord._1, csv.ord._2)
-    create("part", csv.part._1, csv.part._2)
-    conn
-  }
 
   private def duckRun(conn: Connection, sql: String): Int = {
     val rs = conn.createStatement.executeQuery(sql)
@@ -122,26 +57,25 @@ object TpchBench {
       ord = VolcanoCsvEngine.writeTable(tables("orders"), dir, "orders"),
       part = VolcanoCsvEngine.writeTable(tables("part"), dir, "part"))
     val data = TpchCsv.load(csv, nRanks)
-    val duck = duckLoad(csv)
+    val duck = Oracle.duckdb(tables.toSeq: _*)
 
-    val duckSqls = TpchPlans.All.map { case (n, _, d) => n -> d }.toMap
     val neededTables = Map(
       "Q4" -> Set("lineitem", "orders"), "Q12" -> Set("lineitem", "orders"),
       "Q14" -> Set("lineitem", "part"), "Q19" -> Set("lineitem", "part"))
-    val rows = TpchPlans.All.map { case (name, q, _) =>
+    val rows = TpchPlans.All.map { case (name, q, sql) =>
       System.gc()
       val modMs = minMs(reps) { q(data, cfg) }
       val modReadMs = minMs(reps) {
         val d = TpchCsv.load(csv, nRanks, neededTables(name))
         q(d, cfg)
       }
-      val duckMs = minMs(reps) { duckRun(duck, duckSqls(name)) }
+      val duckMs = minMs(reps) { duckRun(duck, sql) }
       System.gc()
       val volMs = minMs(reps) {
         VolcanoCsvEngine.run(VolcanoTpch.All.find(_._1 == name).get._2(csv))
       }
       System.gc()
-      val sparkMs = minMs(reps) { spark.sql(SparkSqls(name)).collect() }
+      val sparkMs = minMs(reps) { spark.sql(sql).collect() }
       Seq(name,
         fmt(modMs), fmt(duckMs), f"${modMs / duckMs}%.2fx",
         fmt(modReadMs), fmt(volMs), f"${volMs / modReadMs}%.1fx",

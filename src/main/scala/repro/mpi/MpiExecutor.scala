@@ -11,7 +11,8 @@ import repro.core._
   *
   * The nested-plan builder receives the rank's [[ParamSlot]] and
   * [[MpiContext]]; because the output type must be known at plan
-  * construction, the builder is probed once with a dummy 1-rank context.
+  * construction, the builder is probed once with a 1-rank context that is
+  * never driven.
   */
 final class MpiExecutor(
     up: SubOp,
@@ -19,11 +20,8 @@ final class MpiExecutor(
     buildInner: (ParamSlot, MpiContext) => SubOp,
 ) extends SubOp {
 
-  override val outType: TupleType = {
-    val probeSlot = new ParamSlot(up.outType)
-    val probeCtx  = new MpiRuntime(1, cfg).run(ctx => ctx).head // unused ctx won't be driven
-    buildInner(probeSlot, probeCtx).outType
-  }
+  override val outType: TupleType =
+    buildInner(new ParamSlot(up.outType), new MpiContext(0, new MpiRuntime(1, cfg))).outType
 
   /** The runtime of the most recent open() — benches read per-rank timers
     * and network stats from `lastRuntime.lastContexts`.

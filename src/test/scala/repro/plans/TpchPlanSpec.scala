@@ -27,10 +27,7 @@ class TpchPlanSpec extends SparkSpec {
     spark.createDataFrame(
       run.rows.map(r => Row.fromSeq(r.toSeq)).asJava, schema)
 
-  private def oracleTables = Seq(
-    "lineitem" -> tables("lineitem"),
-    "orders"   -> tables("orders"),
-    "part"     -> tables("part"))
+  private def oracleTables = tables.toSeq
 
   test("Q4 sub-operator plan matches DuckDB") {
     val run = q4(data, cfg())
@@ -38,7 +35,7 @@ class TpchPlanSpec extends SparkSpec {
       StructField("o_orderpriority", StringType),
       StructField("order_count", LongType))))
     assert(run.rows.nonEmpty)
-    Oracle.assertEquivalent(df, q4DuckSql, oracleTables: _*)
+    Oracle.assertEquivalent(df, q4Sql, oracleTables: _*)
   }
 
   test("Q12 sub-operator plan matches DuckDB") {
@@ -48,21 +45,21 @@ class TpchPlanSpec extends SparkSpec {
       StructField("high_line_count", LongType),
       StructField("low_line_count", LongType))))
     assert(run.rows.nonEmpty)
-    Oracle.assertEquivalent(df, q12DuckSql, oracleTables: _*)
+    Oracle.assertEquivalent(df, q12Sql, oracleTables: _*)
   }
 
   test("Q14 sub-operator plan matches DuckDB") {
     val run = q14(data, cfg())
     val df = toDf(run, StructType(Seq(
       StructField("promo_revenue", DoubleType))))
-    Oracle.assertEquivalent(df, q14DuckSql, oracleTables: _*)
+    Oracle.assertEquivalent(df, q14Sql, oracleTables: _*)
   }
 
   test("Q19 sub-operator plan matches DuckDB") {
     val run = q19(data, cfg())
     val df = toDf(run, StructType(Seq(
       StructField("revenue", DoubleType))))
-    Oracle.assertEquivalent(df, q19DuckSql, oracleTables: _*)
+    Oracle.assertEquivalent(df, q19Sql, oracleTables: _*)
   }
 
   test("Q12 result is independent of the simulated cluster size") {

@@ -38,7 +38,7 @@ class ModularisExecSpec extends SparkSpec {
       val df = t1.join(t2, t1("k") === t2("k2"))
         .select(t1("k") as "k", t1("v") as "v", t2("w") as "w")
       Oracle.assertEquivalent(df,
-        "SELECT t1.k AS k, CAST(t1.v AS DOUBLE) AS v, CAST(t2.w AS DOUBLE) AS w " +
+        "SELECT t1.k AS k, t1.v AS v, t2.w AS w " +
         "FROM t1 JOIN t2 ON t1.k = t2.k2",
         "t1" -> t1, "t2" -> t2)
     }
@@ -56,7 +56,7 @@ class ModularisExecSpec extends SparkSpec {
       assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
       Oracle.assertEquivalent(
         df.select(col("k"), col("v")),
-        "SELECT k, CAST(v AS DOUBLE) AS v FROM t1 WHERE k IN (SELECT k2 FROM t2)",
+        "SELECT k, v FROM t1 WHERE k IN (SELECT k2 FROM t2)",
         "t1" -> t1, "t2" -> t2)
     }
   }
@@ -66,7 +66,7 @@ class ModularisExecSpec extends SparkSpec {
       val df = t1.join(t2, t1("k") === t2("k2"), "left_anti")
       Oracle.assertEquivalent(
         df.select(col("k"), col("v")),
-        "SELECT k, CAST(v AS DOUBLE) AS v FROM t1 WHERE k NOT IN (SELECT k2 FROM t2)",
+        "SELECT k, v FROM t1 WHERE k NOT IN (SELECT k2 FROM t2)",
         "t1" -> t1, "t2" -> t2)
     }
   }
@@ -82,7 +82,7 @@ class ModularisExecSpec extends SparkSpec {
     withStrategy {
       val df = t1.groupBy("k").agg(sum("v") as "sv", count(lit(1)) as "c")
       Oracle.assertEquivalent(df,
-        "SELECT k, sum(CAST(v AS DOUBLE)) AS sv, count(*) AS c FROM t1 GROUP BY k",
+        "SELECT k, sum(v) AS sv, count(*) AS c FROM t1 GROUP BY k",
         "t1" -> t1)
     }
   }
@@ -91,7 +91,7 @@ class ModularisExecSpec extends SparkSpec {
     withStrategy {
       val df = t1.agg(sum("v") as "sv", count(lit(1)) as "c")
       Oracle.assertEquivalent(df,
-        "SELECT sum(CAST(v AS DOUBLE)) AS sv, count(*) AS c FROM t1",
+        "SELECT sum(v) AS sv, count(*) AS c FROM t1",
         "t1" -> t1)
     }
   }
@@ -135,7 +135,7 @@ class ModularisExecSpec extends SparkSpec {
       val df = t1.join(t2, t1("k") === t2("k2"))
         .select(t1("k") as "k", t2("w") as "w")
       Oracle.assertEquivalent(df,
-        "SELECT t1.k AS k, CAST(t2.w AS DOUBLE) AS w FROM t1 JOIN t2 ON t1.k = t2.k2",
+        "SELECT t1.k AS k, t2.w AS w FROM t1 JOIN t2 ON t1.k = t2.k2",
         "t1" -> t1, "t2" -> t2)
     } finally spark.experimental.extraStrategies = Nil
   }

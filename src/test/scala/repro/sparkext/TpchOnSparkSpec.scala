@@ -2,10 +2,12 @@ package repro.sparkext
 
 import repro.{Oracle, SparkSpec}
 import repro.data.TpchLite
+import repro.plans.TpchPlans._
 
 /** The paper's TPC-H queries executed as SQL on Spark with the Modularis
   * strategy injected — the join (incl. the Q4 EXISTS→semi-join rewrite)
-  * runs on ModularisJoinExec; results oracle-checked against DuckDB.
+  * runs on ModularisJoinExec; results oracle-checked against DuckDB running
+  * the same query text.
   */
 class TpchOnSparkSpec extends SparkSpec {
   private val sf = 0.005
@@ -26,81 +28,35 @@ class TpchOnSparkSpec extends SparkSpec {
     }
   }
 
-  private def oracleTables = Seq(
-    "lineitem" -> tables("lineitem"),
-    "orders"   -> tables("orders"),
-    "part"     -> tables("part"))
+  private def oracleTables = tables.toSeq
 
   test("Q4 via Spark SQL uses ModularisJoinExec for the EXISTS semi-join") {
     withStrategy {
-      val sql =
-        """SELECT o_orderpriority, count(*) AS order_count
-          |FROM orders
-          |WHERE o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01'
-          |  AND EXISTS (SELECT 1 FROM lineitem
-          |              WHERE l_orderkey = o_orderkey
-          |                AND l_commitdate < l_receiptdate)
-          |GROUP BY o_orderpriority""".stripMargin
-      val df = spark.sql(sql)
+      val df = spark.sql(q4Sql)
       assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
-      Oracle.assertEquivalent(df, repro.plans.TpchPlans.q4DuckSql, oracleTables: _*)
+      Oracle.assertEquivalent(df, q4Sql, oracleTables: _*)
     }
   }
 
   test("Q12 via Spark SQL matches DuckDB") {
     withStrategy {
-      val sql =
-        """SELECT l_shipmode,
-          |  sum(CASE WHEN o_orderpriority IN ('1-URGENT','2-HIGH') THEN 1 ELSE 0 END)
-          |    AS high_line_count,
-          |  sum(CASE WHEN o_orderpriority NOT IN ('1-URGENT','2-HIGH') THEN 1 ELSE 0 END)
-          |    AS low_line_count
-          |FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-          |WHERE l_shipmode IN ('MAIL','SHIP')
-          |  AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate
-          |  AND l_receiptdate >= '1994-01-01' AND l_receiptdate < '1995-01-01'
-          |GROUP BY l_shipmode""".stripMargin
-      val df = spark.sql(sql)
+      val df = spark.sql(q12Sql)
       assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
-      Oracle.assertEquivalent(df, repro.plans.TpchPlans.q12DuckSql, oracleTables: _*)
+      Oracle.assertEquivalent(df, q12Sql, oracleTables: _*)
     }
   }
 
   test("Q14 via Spark SQL matches DuckDB") {
     withStrategy {
-      val sql =
-        """SELECT 100.00 * sum(CASE WHEN p_type LIKE 'PROMO%'
-          |    THEN l_extendedprice * (1 - l_discount) ELSE 0 END)
-          |  / sum(l_extendedprice * (1 - l_discount)) AS promo_revenue
-          |FROM lineitem, part
-          |WHERE l_partkey = p_partkey
-          |  AND l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'""".stripMargin
-      val df = spark.sql(sql)
+      val df = spark.sql(q14Sql)
       assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
-      Oracle.assertEquivalent(df, repro.plans.TpchPlans.q14DuckSql, oracleTables: _*)
+      Oracle.assertEquivalent(df, q14Sql, oracleTables: _*)
     }
   }
 
   test("Q19 via Spark SQL matches DuckDB") {
     withStrategy {
-      val sql =
-        """SELECT sum(l_extendedprice * (1 - l_discount)) AS revenue
-          |FROM lineitem, part
-          |WHERE p_partkey = l_partkey
-          |  AND l_shipmode IN ('AIR','REG AIR')
-          |  AND l_shipinstruct = 'DELIVER IN PERSON'
-          |  AND (
-          |    (p_brand = 'Brand#12'
-          |      AND p_container IN ('SM CASE','SM BOX','SM PACK','SM PKG')
-          |      AND l_quantity BETWEEN 1 AND 11 AND p_size BETWEEN 1 AND 5)
-          |    OR (p_brand = 'Brand#23'
-          |      AND p_container IN ('MED BAG','MED BOX','MED PKG','MED PACK')
-          |      AND l_quantity BETWEEN 10 AND 20 AND p_size BETWEEN 1 AND 10)
-          |    OR (p_brand = 'Brand#34'
-          |      AND p_container IN ('LG CASE','LG BOX','LG PACK','LG PKG')
-          |      AND l_quantity BETWEEN 20 AND 30 AND p_size BETWEEN 1 AND 15))""".stripMargin
-      val df = spark.sql(sql)
-      Oracle.assertEquivalent(df, repro.plans.TpchPlans.q19DuckSql, oracleTables: _*)
+      Oracle.assertEquivalent(spark.sql(q19Sql), q19Sql, oracleTables: _*)
     }
   }
 }

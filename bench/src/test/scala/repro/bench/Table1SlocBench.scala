@@ -13,11 +13,9 @@ class Table1SlocBench extends AnyFunSuite {
 
   test("shape: platform-specific code is the cheap part of a port") {
     val base = SlocCount.detectBase()
-    def p(rel: String) = new java.io.File(base, rel).getPath
     val total = SlocCount.Operators
-      .map { case (_, _, _, f, d) => SlocCount.declSloc(p(f), d) }.sum
-    val mono = SlocCount.fileSloc(
-      p("src/main/scala/repro/monolith/MonolithicRadixJoin.scala"))
+      .map { case (_, _, _, f, d) => SlocCount.operatorSloc(base, f, d) }.sum
+    val mono = SlocCount.monolithSloc(base)
     assert(total > 0 && mono > 0)
     // The paper's claim shape: porting Modularis = rewriting only the
     // platform-specific operators, strictly cheaper than rewriting the
@@ -25,7 +23,7 @@ class Table1SlocBench extends AnyFunSuite {
     // monolith leans on the shared MpiRuntime just like the operators do —
     // see EXPERIMENTS.md.)
     val plat = SlocCount.Operators.filter(o => SlocCount.PlatformSpecific(o._1))
-      .map { case (_, _, _, f, d) => SlocCount.declSloc(p(f), d) }.sum
+      .map { case (_, _, _, f, d) => SlocCount.operatorSloc(base, f, d) }.sum
     assert(plat < total, "platform-specific operators must be a strict subset")
     assert(mono.toDouble / plat > 1.0,
       s"porting the monolith ($mono SLOC) should cost more than rewriting " +

@@ -1,10 +1,11 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.collection.mutable.ArrayBuffer
 
 /** Join variants. The paper's extensibility claim (§5.1.1) is that new join
-  * types only require modifying this one 103-SLOC operator — we implement
-  * inner, semi, anti, and (probe-preserving) outer to substantiate it.
+  * types only require modifying this one operator (103 SLOC in the paper's
+  * Table 1) — we implement inner, semi, anti, and (probe-preserving) outer
+  * to substantiate it.
   * Semi/anti/outer preserve the probe side.
   */
 sealed trait JoinKind
@@ -22,6 +23,10 @@ object JoinKind {
   *
   * SQL null semantics: a null in any join attribute never matches (and such
   * probe tuples are kept by Anti/Outer), so results agree with DuckDB.
+  *
+  * The build tuples are indexed by the shared [[HashIndex]] on the combined
+  * `##` of their join attributes, which compare one by one with `==` (the
+  * cooperative equality of a `HashMap[Any]` key).
   */
 final class BuildProbe(
     build: SubOp,
@@ -48,31 +53,50 @@ final class BuildProbe(
         pType.without(joinAttrs.toSet)
   }
 
-  private var table: mutable.HashMap[Any, mutable.ArrayBuffer[Array[Any]]] = _
+  private var rows: ArrayBuffer[Array[Any]] = _ // build tuples with non-null keys, by entry id
+  private var index: HashIndex = _
   private var pCur: Array[Any] = _
-  private var matches: mutable.ArrayBuffer[Array[Any]] = _
-  private var mIdx = 0
+  private var m = -1 // next build entry matching pCur, or -1
 
-  private def keyOf(t: Array[Any], idx: Array[Int]): Any = {
+  private def hasNullKey(t: Array[Any], idx: Array[Int]): Boolean = {
     var i = 0
-    while (i < idx.length) { if (t(idx(i)) == null) return null; i += 1 }
-    if (idx.length == 1) t(idx(0)) else idx.toSeq.map(t(_))
+    while (i < idx.length) { if (t(idx(i)) == null) return true; i += 1 }
+    false
+  }
+
+  private def hashOf(t: Array[Any], idx: Array[Int]): Int = {
+    var h = 0
+    var i = 0
+    while (i < idx.length) { h = 31 * h + t(idx(i)).##; i += 1 }
+    h
+  }
+
+  /** The first entry from `start` on whose join attributes all `==` pCur's, or -1. */
+  private def matchFrom(start: Int): Int = {
+    var e = start
+    while (e >= 0) {
+      val bt = rows(e)
+      var i = 0
+      while (i < bKeyIdx.length && bt(bKeyIdx(i)) == pCur(pKeyIdx(i))) i += 1
+      if (i == bKeyIdx.length) return e
+      e = index.next(e)
+    }
+    -1
   }
 
   override def open(): Unit = {
-    table = mutable.HashMap.empty
+    rows = new ArrayBuffer[Array[Any]]()
+    index = new HashIndex()
     build.open()
     var t = build.next()
     while (t != null) {
-      val k = keyOf(t, bKeyIdx)
-      if (k != null) table.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += t
+      if (!hasNullKey(t, bKeyIdx)) { index.add(hashOf(t, bKeyIdx)); rows += t }
       t = build.next()
     }
     build.close()
     probe.open()
     pCur = null
-    matches = null
-    mIdx = 0
+    m = -1
   }
 
   private def emit(bt: Array[Any], pt: Array[Any]): Array[Any] = {
@@ -89,27 +113,19 @@ final class BuildProbe(
 
   override def next(): Array[Any] = {
     while (true) {
-      if (matches != null && mIdx < matches.size) {
-        val bt = matches(mIdx); mIdx += 1
+      if (m >= 0) {
+        val bt = rows(m)
+        m = matchFrom(index.next(m))
         return emit(bt, pCur)
       }
-      matches = null
       pCur = probe.next()
       if (pCur == null) return null
-      val k = keyOf(pCur, pKeyIdx)
-      val hit = if (k == null) None else table.get(k)
+      val hit = if (hasNullKey(pCur, pKeyIdx)) -1 else matchFrom(index.first(hashOf(pCur, pKeyIdx)))
       kind match {
-        case JoinKind.Inner =>
-          hit.foreach { ms => matches = ms; mIdx = 0 }
-        case JoinKind.Semi =>
-          if (hit.isDefined) return pCur
-        case JoinKind.Anti =>
-          if (hit.isEmpty) return pCur
-        case JoinKind.Outer =>
-          hit match {
-            case Some(ms) => matches = ms; mIdx = 0
-            case None     => return emit(null, pCur)
-          }
+        case JoinKind.Inner => m = hit
+        case JoinKind.Semi  => if (hit >= 0) return pCur
+        case JoinKind.Anti  => if (hit < 0) return pCur
+        case JoinKind.Outer => if (hit >= 0) m = hit else return emit(null, pCur)
       }
     }
     null // unreachable
@@ -117,7 +133,7 @@ final class BuildProbe(
 
   override def close(): Unit = {
     probe.close()
-    table = null
-    matches = null
+    rows = null
+    index = null
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.collection.mutable.ArrayBuffer
 
 /** Reduce (paper §3.3.2): folds all upstream tuples into a single tuple with
   * an associative, commutative combine function. Emits nothing on empty
@@ -34,7 +34,8 @@ final class Reduce(up: SubOp, f: (Array[Any], Array[Any]) => Array[Any]) extends
   * `keyField` into one. As in the paper, the key field is stripped from the
   * tuples passed to the combine function and re-attached (in the original
   * field position) before tuples are returned; the output type equals the
-  * input type.
+  * input type. Groups come out in the order their keys were first seen; a
+  * null key forms its own group.
   */
 final class ReduceByKey(
     up: SubOp,
@@ -45,7 +46,10 @@ final class ReduceByKey(
   private val keyIdx = up.outType.indexOf(keyField)
   private val arity  = up.outType.arity
 
-  private var it: Iterator[(Any, Array[Any])] = _
+  // Groups in first-seen order: entry e of `index` is keys(e) with accs(e).
+  private var keys: ArrayBuffer[Any] = _
+  private var accs: ArrayBuffer[Array[Any]] = _
+  private var pos = 0
 
   private def strip(t: Array[Any]): Array[Any] = {
     val v = new Array[Any](arity - 1)
@@ -55,34 +59,37 @@ final class ReduceByKey(
   }
 
   override def open(): Unit = {
+    keys = new ArrayBuffer[Any]()
+    accs = new ArrayBuffer[Array[Any]]()
+    val index = new HashIndex()
     up.open()
-    val groups = mutable.LinkedHashMap.empty[Any, Array[Any]]
     var t = up.next()
     while (t != null) {
       val k = t(keyIdx)
-      val v = strip(t)
-      groups.get(k) match {
-        case Some(acc) => groups.update(k, f(acc, v))
-        case None      => groups.update(k, v)
-      }
+      val h = k.##
+      var e = index.first(h)
+      while (e >= 0 && keys(e) != k) e = index.next(e)
+      if (e >= 0) accs(e) = f(accs(e), strip(t))
+      else { index.add(h); keys += k; accs += strip(t) }
       t = up.next()
     }
     up.close()
-    it = groups.iterator
+    pos = 0
   }
 
   override def next(): Array[Any] =
-    if (it == null || !it.hasNext) null
+    if (keys == null || pos >= keys.length) null
     else {
-      val (k, v) = it.next()
+      val v = accs(pos)
       val out = new Array[Any](arity)
       var i = 0; var o = 0
       while (i < arity) {
-        if (i == keyIdx) out(i) = k else { out(i) = v(o); o += 1 }
+        if (i == keyIdx) out(i) = keys(pos) else { out(i) = v(o); o += 1 }
         i += 1
       }
+      pos += 1
       out
     }
 
-  override def close(): Unit = it = null
+  override def close(): Unit = { keys = null; accs = null }
 }

@@ -1,18 +1,18 @@
 package repro.monolith
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-import repro.core.{RowVec, TupleType}
+import repro.core.{HashIndex, RowVec, TupleType}
 import repro.mpi._
 
 /** The monolithic, hand-fused distributed radix hash join in the style of
   * Barthels et al. [5, 6] — the baseline of Fig 6. One imperative function
-  * per rank over the same simulated RDMA substrate ([[MpiRuntime]]) and the
-  * same tuple representation as the modular plan, so the measured gap
-  * isolates exactly what the paper measures: the cost of the sub-operator
-  * abstractions (virtual next() calls, per-pipeline materializations,
-  * NestedMap orchestration) versus fused loops.
+  * per rank over the same simulated RDMA substrate ([[MpiRuntime]]), the
+  * same tuple representation and the same hash table ([[HashIndex]]) as the
+  * modular plan, so the measured gap isolates exactly what the paper
+  * measures: the cost of the sub-operator abstractions (virtual next()
+  * calls, per-pipeline materializations, NestedMap orchestration) versus
+  * fused loops.
   *
   * Phases (timed under the same names as the modular plan):
   * local histograms (both relations in one pass structure), one global
@@ -95,7 +95,7 @@ object MonolithicRadixJoin {
         while (p < netFan) {
           val o = p % n
           partBase(p) = sizePerRank(o)
-          sizePerRank(o) += gh(p).toInt
+          sizePerRank(o) += Math.toIntExact(gh(p))
           p += 1
         }
         (partBase, sizePerRank)
@@ -138,7 +138,7 @@ object MonolithicRadixJoin {
           val v = t(1).asInstanceOf[Long]
           val p2 = (k & netMask).toInt
           // write-combining buffer of compressed 64-bit words
-          batches(p2)(fill(p2)) = Array[Any](((k >>> netBits) << pBits) | v)
+          batches(p2)(fill(p2)) = Array[Any](Compression.packWord(k, v, netBits, pBits))
           fill(p2) = fill(p2) + 1
           if (fill(p2) == batchRows) flush(p2)
           i += 1
@@ -201,27 +201,22 @@ object MonolithicRadixJoin {
         while (b < localFan) {
           val rs = rSub(pi)(b)
           val ss = sSub(pi)(b)
-          val table = new mutable.HashMap[Long, ArrayBuffer[Array[Any]]]()
+          val index = new HashIndex(rs.length)
           var i = 0
           while (i < rs.length) {
-            val c = rs(i)(0).asInstanceOf[Long]
-            table.getOrElseUpdate(c >>> pBits, new ArrayBuffer[Array[Any]](1)) += rs(i)
+            index.add(java.lang.Long.hashCode(rs(i)(0).asInstanceOf[Long] >>> pBits))
             i += 1
           }
           i = 0
           while (i < ss.length) {
             val c = ss(i)(0).asInstanceOf[Long]
             val khi = c >>> pBits
-            table.get(khi) match {
-              case Some(vs) =>
-                val k = (khi << netBits) | npid
-                val sv = c & vMask
-                var j = 0
-                while (j < vs.length) {
-                  out += Array[Any](k, vs(j)(0).asInstanceOf[Long] & vMask, sv)
-                  j += 1
-                }
-              case None =>
+            var e = index.first(java.lang.Long.hashCode(khi))
+            while (e >= 0) {
+              val rc = rs(e)(0).asInstanceOf[Long]
+              if ((rc >>> pBits) == khi)
+                out += Array[Any]((khi << netBits) | npid, rc & vMask, c & vMask)
+              e = index.next(e)
             }
             i += 1
           }

@@ -65,7 +65,7 @@ final class MpiExchange(
     while (p < nPart) {
       val o = ownerOf(p)
       partBase(p) = winSizePerRank(o)
-      winSizePerRank(o) += gh(p).toInt
+      winSizePerRank(o) += Math.toIntExact(gh(p))
       p += 1
     }
     val win = ctx.winCreate(winSizePerRank(ctx.rank))
@@ -143,19 +143,30 @@ final class Compression private (
 object Compression {
   val none: Compression = new Compression(false, null, null)
 
-  /** Pack ⟨k: long, v: long⟩ into ⟨c: long⟩ with `c = ((k >>> fBits) << pBits) | v`;
-    * requires `v < 2^pBits` and `k < 2^(64 - pBits + fBits)`.
-    */
-  def radixLongPair(fBits: Int, pBits: Int = 32): Compression =
+  /** Pack ⟨k: long, v: long⟩ into ⟨c: long⟩ with [[packWord]]. */
+  def radixLongPair(fBits: Int, pBits: Int = 32): Compression = {
+    require(0 <= fBits && fBits < 64 && 0 < pBits && pBits < 64,
+      s"radix compression needs 0 <= fBits < 64 and 0 < pBits < 64, got $fBits and $pBits")
     new Compression(
       enabled = true,
       outType = TupleType.of("c" -> Atom.LongA),
-      pack = (t, _) => {
-        val k = t(0).asInstanceOf[Long]
-        val v = t(1).asInstanceOf[Long]
-        Array[Any](((k >>> fBits) << pBits) | v)
-      },
+      pack = (t, _) =>
+        Array[Any](packWord(t(0).asInstanceOf[Long], t(1).asInstanceOf[Long], fBits, pBits)),
     )
+  }
+
+  /** `((k >>> fBits) << pBits) | v`. Throws IllegalArgumentException unless
+    * `0 <= v < 2^pBits` and `k >>> fBits < 2^(64 - pBits)`, instead of
+    * corrupting key and payload.
+    */
+  def packWord(k: Long, v: Long, fBits: Int, pBits: Int): Long = {
+    val hi = k >>> fBits
+    if (((hi >>> (64 - pBits)) | (v >>> pBits)) != 0L)
+      throw new IllegalArgumentException(
+        if ((v >>> pBits) != 0L) s"radix compression: payload $v is outside [0, 2^$pBits)"
+        else s"radix compression: key $k has more than ${64 - pBits} bits above its low $fBits bits")
+    (hi << pBits) | v
+  }
 
   /** Decompression helpers matching [[radixLongPair]]. */
   def keyHi(c: Long, pBits: Int): Long = c >>> pBits

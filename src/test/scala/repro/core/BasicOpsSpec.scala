@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable.ArrayBuffer
 import TestData._
 
 class BasicOpsSpec extends AnyFunSuite {
@@ -89,6 +90,21 @@ class BasicOpsSpec extends AnyFunSuite {
       (a, b) => { seenArities += a.length; seenArities += b.length; a })
     rbk.drain()
     assert(seenArities == Set(1))
+  }
+
+  test("ReduceByKey emits groups in first-seen key order") {
+    val rbk = new ReduceByKey(src(3L -> 1L, 1L -> 1L, 3L -> 2L, 2L -> 5L, 1L -> 1L), "k",
+      (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]))
+    assert(asPairs(rbk.drain().toSeq) == Seq(3L -> 3L, 1L -> 2L, 2L -> 5L))
+  }
+
+  test("ReduceByKey: a null key forms its own group; keys with equal ## stay apart") {
+    val big = (1L << 32) | 4L // ## is 5, as for 5L
+    val rows = ArrayBuffer(Array[Any](null, 1L), Array[Any](5L, 2L), Array[Any](null, 3L),
+      Array[Any](big, 4L), Array[Any](5L, 5L))
+    val rbk = new ReduceByKey(new VectorSource(rows, PairT), "k",
+      (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]))
+    assert(rbk.drain().map(_.toSeq) == Seq(Seq(null, 4L), Seq(5L, 7L), Seq(big, 4L)))
   }
 
   test("Zip concatenates aligned upstreams") {

@@ -126,4 +126,43 @@ class BuildProbeSpec extends AnyFunSuite {
         rRows.map(p => Seq[Any](p._1, p._2)).sortBy(_.toString))
     }
   }
+
+  test("keys with equal ## do not match") {
+    val a = 5L; val b = (1L << 32) | 4L
+    assert(a.## == b.##)
+    assert(new BuildProbe(lsrc(a -> 1L), rsrc(b -> 2L), Seq("k")).drain().isEmpty)
+    assert(new BuildProbe(lsrc(a -> 1L), rsrc(b -> 2L), Seq("k"), JoinKind.Anti).drain().size == 1)
+    val both = new BuildProbe(lsrc(a -> 1L, b -> 3L), rsrc(b -> 2L), Seq("k")).drain()
+    assert(both.map(_.toSeq) == Seq(Seq(b, 3L, 2L)))
+  }
+
+  test("property: all join kinds on two-attribute keys agree with a nested-loop reference") {
+    val lt = TupleType.of("a" -> Atom.LongA, "b" -> Atom.LongA, "lv" -> Atom.LongA)
+    val rt = TupleType.of("a" -> Atom.LongA, "b" -> Atom.LongA, "rv" -> Atom.LongA)
+    val rnd = new Random(17)
+    // Small domains give duplicates; nulls never match; build keys are
+    // sometimes boxed Ints, which equal Longs cooperatively.
+    def attr(asInt: Boolean): Any = rnd.nextInt(4) match {
+      case 0 => null
+      case x => if (asInt && rnd.nextBoolean()) x - 1 else (x - 1).toLong
+    }
+    def rel(n: Int, asInt: Boolean): Seq[Array[Any]] =
+      Seq.fill(n)(Array[Any](attr(asInt), attr(asInt), rnd.nextLong(100L)))
+    def bag(rows: Seq[Seq[Any]]) = rows.groupBy(identity).view.mapValues(_.size).toMap
+    for (_ <- 1 to 40) {
+      val lRows = rel(rnd.nextInt(30), asInt = true)
+      val rRows = rel(rnd.nextInt(30), asInt = false)
+      def run(kind: JoinKind) = bag(new BuildProbe(
+        new VectorSource(ArrayBuffer(lRows: _*), lt),
+        new VectorSource(ArrayBuffer(rRows: _*), rt), Seq("a", "b"), kind).drain().map(_.toSeq).toSeq)
+      def matches(l: Array[Any], r: Array[Any]) =
+        l(0) != null && l(1) != null && l(0) == r(0) && l(1) == r(1)
+      val inner = for (r <- rRows; l <- lRows if matches(l, r)) yield Seq(l(0), l(1), l(2), r(2))
+      val (hit, miss) = rRows.partition(r => lRows.exists(matches(_, r)))
+      assert(run(JoinKind.Inner) == bag(inner))
+      assert(run(JoinKind.Semi) == bag(hit.map(_.toSeq)))
+      assert(run(JoinKind.Anti) == bag(miss.map(_.toSeq)))
+      assert(run(JoinKind.Outer) == bag(inner ++ miss.map(r => Seq(r(0), r(1), null, r(2)))))
+    }
+  }
 }

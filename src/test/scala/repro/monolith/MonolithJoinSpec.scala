@@ -40,6 +40,17 @@ class MonolithJoinSpec extends AnyFunSuite {
     assert(run(128, 2, dup = 2).size == 256)
   }
 
+  test("monolithic join does not match key-high bits with equal hashes") {
+    // khi 5 and (2 << 32) | 7 have equal Long hash codes and the same
+    // local partition bit, so they meet in one sub-partition's index.
+    val (a, b) = (5L << 1, ((2L << 32) | 7L) << 1)
+    val r = Array[Array[Any]](Array(a, 1L), Array(b, 3L))
+    val s = Array[Array[Any]](Array(b, 2L))
+    val rows = MonolithicRadixJoin.run(Vector(r.toIndexedSeq), Vector(s.toIndexedSeq), 1, net,
+      netBits = 1, localBits = 1, pBits = 24).flatMap(_.rows)
+    assert(rows.map(_.toSeq) == Seq(Seq(b, 3L, 2L)))
+  }
+
   test("monolithic join records the same phase names as the modular plan") {
     val r = Workloads.densePairs(64, 1)
     val s = Workloads.densePairs(64, 1)

@@ -43,6 +43,22 @@ class CompressionSpec extends AnyFunSuite {
     }
   }
 
+  test("radixLongPair rejects payloads and keys outside the packable domain") {
+    val c = Compression.radixLongPair(fBits = 4, pBits = 32)
+    def pack(k: Long, v: Long) = c.pack(Array[Any](k, v), 0)(0).asInstanceOf[Long]
+    for (v <- Seq(-1L, 1L << 32)) {
+      val e = intercept[IllegalArgumentException](pack(1L, v))
+      assert(e.getMessage.contains(v.toString))
+    }
+    val wide = 1L << 36 // 33 bits above the 4 partition bits
+    assert(intercept[IllegalArgumentException](pack(wide, 0L)).getMessage.contains(wide.toString))
+    assert(intercept[IllegalArgumentException](pack(-16L, 0L)).getMessage.contains("-16"))
+    val top = (1L << 36) - 1
+    val packed = pack(top, (1L << 32) - 1)
+    assert(Compression.keyHi(packed, 32) == top >>> 4)
+    assert(Compression.value(packed, 32) == (1L << 32) - 1)
+  }
+
   test("NetConfig render summarizes the simulated cluster") {
     val s = NetConfig(ranksPerMachine = 2).render(8)
     assert(s.contains("4 machines"))

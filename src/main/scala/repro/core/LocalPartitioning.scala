@@ -22,7 +22,7 @@ final class LocalPartitioning(
 
   override def open(): Unit = {
     val sizes = Histograms.toArray(hist, n)
-    val p = Array.tabulate(n)(b => new Array[Array[Any]](sizes(b).toInt))
+    val p = Array.tabulate(n)(b => new Array[Array[Any]](Math.toIntExact(sizes(b))))
     val cursors = new Array[Int](n)
     data.open()
     var t = data.next()

@@ -36,6 +36,18 @@ final class Reduce(up: SubOp, f: (Array[Any], Array[Any]) => Array[Any]) extends
   * field position) before tuples are returned; the output type equals the
   * input type. Groups come out in the order their keys were first seen; a
   * null key forms its own group.
+  *
+  * A group allocates only what it needs. Its first tuple is kept as is and
+  * supplies the key; the key-stripped accumulator is created when a second
+  * tuple arrives; a group of one tuple is emitted as that input tuple, whose
+  * values are what re-attaching the key would give. So the levels above the
+  * first in a radix-partitioned GROUP BY, whose groups are all singletons,
+  * pass their input through. Like BuildProbe's build side, ReduceByKey keeps
+  * references to its input rows until it is closed.
+  *
+  * Combine contract: `f(acc, v)` may update and return `acc` or return a new
+  * tuple, but must not keep `v` except by returning it. `v` is one buffer
+  * that every later tuple of every group is stripped into.
   */
 final class ReduceByKey(
     up: SubOp,
@@ -46,21 +58,23 @@ final class ReduceByKey(
   private val keyIdx = up.outType.indexOf(keyField)
   private val arity  = up.outType.arity
 
-  // Groups in first-seen order: entry e of `index` is keys(e) with accs(e).
-  private var keys: ArrayBuffer[Any] = _
+  // Groups in first-seen order: entry e of `index` is the group whose first
+  // tuple is firsts(e); accs(e) stays null until the group's second tuple.
+  private var firsts: ArrayBuffer[Array[Any]] = _
   private var accs: ArrayBuffer[Array[Any]] = _
   private var pos = 0
 
-  private def strip(t: Array[Any]): Array[Any] = {
-    val v = new Array[Any](arity - 1)
+  /** Copy every field of `t` but the key into `v`. */
+  private def strip(t: Array[Any], v: Array[Any]): Array[Any] = {
     var i = 0; var o = 0
     while (i < arity) { if (i != keyIdx) { v(o) = t(i); o += 1 }; i += 1 }
     v
   }
 
   override def open(): Unit = {
-    keys = new ArrayBuffer[Any]()
+    firsts = new ArrayBuffer[Array[Any]]()
     accs = new ArrayBuffer[Array[Any]]()
+    var scratch = new Array[Any](arity - 1)
     val index = new HashIndex()
     up.open()
     var t = up.next()
@@ -68,9 +82,15 @@ final class ReduceByKey(
       val k = t(keyIdx)
       val h = k.##
       var e = index.first(h)
-      while (e >= 0 && keys(e) != k) e = index.next(e)
-      if (e >= 0) accs(e) = f(accs(e), strip(t))
-      else { index.add(h); keys += k; accs += strip(t) }
+      while (e >= 0 && firsts(e)(keyIdx) != k) e = index.next(e)
+      if (e < 0) { index.add(h); firsts += t; accs += null }
+      else {
+        val acc = accs(e)
+        val r = f(if (acc != null) acc else strip(firsts(e), new Array[Any](arity - 1)),
+          strip(t, scratch))
+        if (r eq scratch) scratch = new Array[Any](arity - 1)
+        accs(e) = r
+      }
       t = up.next()
     }
     up.close()
@@ -78,18 +98,19 @@ final class ReduceByKey(
   }
 
   override def next(): Array[Any] =
-    if (keys == null || pos >= keys.length) null
+    if (firsts == null || pos >= firsts.length) null
     else {
+      val first = firsts(pos)
       val v = accs(pos)
-      val out = new Array[Any](arity)
-      var i = 0; var o = 0
-      while (i < arity) {
-        if (i == keyIdx) out(i) = keys(pos) else { out(i) = v(o); o += 1 }
-        i += 1
-      }
       pos += 1
-      out
+      if (v == null) first
+      else {
+        val out = first.clone() // the key, in its field
+        var i = 0; var o = 0
+        while (i < arity) { if (i != keyIdx) { out(i) = v(o); o += 1 }; i += 1 }
+        out
+      }
     }
 
-  override def close(): Unit = { keys = null; accs = null }
+  override def close(): Unit = { firsts = null; accs = null }
 }

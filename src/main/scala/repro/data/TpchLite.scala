@@ -35,16 +35,17 @@ object TpchLite {
       array(choices.map(lit): _*),
       (rand(seed) * choices.size + 1).cast(IntegerType))
 
+  private def daysAfterShip(min: Int, span: Int, seed: Long) =
+    date_add(col("l_shipdate"), (rand(seed) * span + min).cast(IntegerType))
+
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame =
     SynthData.lineitem(spark, sf, seed)
       .withColumn("l_shipmode", pick(ShipModes, seed + 10))
       .withColumn("l_shipinstruct", pick(ShipInstructs, seed + 11))
-      // commit ~30–120 days after ship; receipt ~1–60 days after ship —
+      // commit ~30–120 days after ship; receipt ~1–120 days after ship —
       // so l_commitdate < l_receiptdate holds for a realistic subset.
-      .withColumn("l_commitdate",
-        expr("date_add(l_shipdate, cast(rand(42) * 90 + 30 as int))"))
-      .withColumn("l_receiptdate",
-        expr("date_add(l_shipdate, cast(rand(43) * 120 + 1 as int))"))
+      .withColumn("l_commitdate", daysAfterShip(30, 90, seed + 12))
+      .withColumn("l_receiptdate", daysAfterShip(1, 120, seed + 13))
 
   def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame =
     SynthData.orders(spark, sf, seed)

@@ -76,7 +76,7 @@ final class MpiExchange(
     while (p < nPart) {
       var off = partBase(p)
       var r = 0
-      while (r < ctx.rank) { off += counts(r)(p).toInt; r += 1 }
+      while (r < ctx.rank) { off += Math.toIntExact(counts(r)(p)); r += 1 }
       cursor(p) = off
       p += 1
     }

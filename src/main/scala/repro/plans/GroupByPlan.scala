@@ -30,8 +30,9 @@ object GroupByPlan {
         new MaterializeRowVector(restored, "data")
       })
       // Post-aggregation at this unnesting level (paper §4.3) — with radix
-      // partitioning the groups are disjoint across partitions, so this is
-      // a cheap pass-through, but the plan keeps the operator as described.
+      // partitioning the groups are disjoint across partitions, so every
+      // group here has one tuple and ReduceByKey passes it through without
+      // a copy; the plan keeps the operator as described.
       val level = new ReduceByKey(new RowScan(nm2, "data"), "k", sumLongValue)
       new MaterializeRowVector(level, "data")
     })

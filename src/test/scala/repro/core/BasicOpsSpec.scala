@@ -2,9 +2,12 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable.ArrayBuffer
+import scala.util.Random
 import TestData._
 
 class BasicOpsSpec extends AnyFunSuite {
+  private val sumV: (Array[Any], Array[Any]) => Array[Any] =
+    (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long])
 
   test("VectorSource emits all rows in order and supports re-open") {
     val s = src(1L -> 10L, 2L -> 20L)
@@ -105,6 +108,59 @@ class BasicOpsSpec extends AnyFunSuite {
     val rbk = new ReduceByKey(new VectorSource(rows, PairT), "k",
       (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]))
     assert(rbk.drain().map(_.toSeq) == Seq(Seq(null, 4L), Seq(5L, 7L), Seq(big, 4L)))
+  }
+
+  test("ReduceByKey: a combine returning its second argument keeps each group's last value") {
+    // The stripped tuple passed to the combine is a reused buffer; keeping
+    // it by returning it must not let a later tuple of another group
+    // overwrite it.
+    val rbk = new ReduceByKey(
+      src(1L -> 10L, 2L -> 20L, 1L -> 11L, 2L -> 21L, 1L -> 12L, 2L -> 22L, 1L -> 13L, 3L -> 30L),
+      "k", (_, b) => b)
+    assert(asPairs(rbk.drain().toSeq) == Seq(1L -> 13L, 2L -> 22L, 3L -> 30L))
+  }
+
+  test("ReduceByKey with the key in a middle field") {
+    val vkw = TupleType.of("v" -> Atom.LongA, "k" -> Atom.LongA, "w" -> Atom.LongA)
+    val rows = ArrayBuffer(Array[Any](1L, 7L, 100L), Array[Any](2L, 8L, 200L),
+      Array[Any](3L, 7L, 300L), Array[Any](4L, 7L, 400L))
+    var seen = Vector.empty[Seq[Any]]
+    val rbk = new ReduceByKey(new VectorSource(rows, vkw), "k", { (a, b) =>
+      seen :+= b.toSeq
+      Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long],
+        a(1).asInstanceOf[Long] + b(1).asInstanceOf[Long])
+    })
+    assert(rbk.drain().map(_.toSeq) == Seq(Seq(8L, 7L, 800L), Seq(2L, 8L, 200L)))
+    assert(seen == Seq(Seq(3L, 300L), Seq(4L, 400L)))
+    assert(rows.map(_.toSeq) == Seq(Seq(1L, 7L, 100L), Seq(2L, 8L, 200L),
+      Seq(3L, 7L, 300L), Seq(4L, 7L, 400L)))
+  }
+
+  test("ReduceByKey emits a one-row group as its input tuple") {
+    val rows = pairs(1L -> 10L, 2L -> 20L, 1L -> 11L)
+    val out = new ReduceByKey(new VectorSource(rows, PairT), "k", sumV).drain()
+    assert(out(1) eq rows(1))
+    assert(!(out(0) eq rows(0)))
+    assert(asPairs(out.toSeq) == Seq(1L -> 21L, 2L -> 20L))
+    assert(asPairs(rows.toSeq) == Seq(1L -> 10L, 2L -> 20L, 1L -> 11L))
+  }
+
+  test("property: ReduceByKey agrees with a reference group-sum") {
+    val rnd = new Random(19)
+    val big = (1L << 32) | 4L // ## is 5, as for 5L
+    // Six key values over up to 49 rows: duplicates, nulls, and 5L beside big.
+    def key(): Any = rnd.nextInt(6) match {
+      case 0 => null
+      case 1 => big
+      case x => x + 2L
+    }
+    for (_ <- 1 to 40) {
+      val rows = ArrayBuffer.fill(rnd.nextInt(50))(Array[Any](key(), rnd.nextLong(100L)))
+      val want = rows.groupBy(_(0)).view.mapValues(_.map(_(1).asInstanceOf[Long]).sum).toMap
+      val got = new ReduceByKey(new VectorSource(rows, PairT), "k", sumV).drain()
+      assert(got.map(_(0)) == rows.map(_(0)).distinct)
+      assert(got.map(t => t(0) -> t(1)).toMap == want)
+    }
   }
 
   test("Zip concatenates aligned upstreams") {

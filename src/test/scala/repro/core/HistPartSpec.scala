@@ -64,6 +64,11 @@ class HistPartSpec extends AnyFunSuite {
     intercept[Exception](lp.drain())
   }
 
+  test("LocalPartitioning rejects a partition size beyond Int range") {
+    val lp = new LocalPartitioning(src(), hist(1L << 31, 0L), 2, bucketOf(2))
+    intercept[ArithmeticException](lp.drain())
+  }
+
   test("property: partitioning preserves multiset and respects bucket function") {
     val rnd = new Random(7)
     for (_ <- 1 to 50) {

@@ -14,6 +14,11 @@ object TestData {
 
   def src(kvs: (Long, Long)*): SubOp = new VectorSource(pairs(kvs: _*), PairT)
 
+  /** A histogram operator reporting `counts(b)` rows for bucket b. */
+  def hist(counts: Long*): SubOp = new VectorSource(
+    ArrayBuffer.from(counts.zipWithIndex.map { case (c, b) => Array[Any](b, c) }),
+    TupleType.of("bucket" -> Atom.IntA, "count" -> Atom.LongA))
+
   def asPairs(rows: Seq[Array[Any]]): Seq[(Long, Long)] =
     rows.map(t => (t(0).asInstanceOf[Long], t(1).asInstanceOf[Long]))
 }

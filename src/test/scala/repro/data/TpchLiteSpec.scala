@@ -49,6 +49,16 @@ class TpchLiteSpec extends SparkSpec {
     assert(some > 0)
   }
 
+  test("commit and receipt offsets from shipdate follow the seed") {
+    import org.apache.spark.sql.functions._
+    def offsets(seed: Long) = TpchLite.lineitem(spark, 0.0005, seed)
+      .select(datediff(col("l_commitdate"), col("l_shipdate")),
+        datediff(col("l_receiptdate"), col("l_shipdate")))
+      .collect().map(r => (r.getInt(0), r.getInt(1))).toSeq
+    assert(offsets(7) == offsets(7))
+    assert(offsets(7) != offsets(8))
+  }
+
   test("cardinalities scale with sf") {
     assert(li.count() == 12000) // 6M * 0.002
     assert(ord.count() == 3000)

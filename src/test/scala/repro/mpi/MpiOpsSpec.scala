@@ -112,6 +112,16 @@ class MpiOpsSpec extends AnyFunSuite {
     assert(results(1) == Seq(0))
   }
 
+  test("MpiExchange rejects a lower rank's count beyond Int range") {
+    val rt = new MpiRuntime(2)
+    // Rank 0 reports 2^31 rows of partition 0, so rank 1's write cursor
+    // into it does not fit an Int.
+    intercept[ArithmeticException](rt.run { ctx =>
+      val local = if (ctx.rank == 0) hist(1L << 31, 0L) else hist(0L, 0L)
+      new MpiExchange(src(), local, hist(0L, 0L), 2, bucketOf(2), ctx).drain()
+    })
+  }
+
   test("MpiExecutor runs the nested plan once per rank and collects in order") {
     val inT = TupleType.of("x" -> Atom.LongA)
     val srcRows = new VectorSource(
